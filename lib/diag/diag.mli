@@ -69,12 +69,6 @@ val to_string : t -> string
 
 val pp : Format.formatter -> t -> unit
 
-val to_json : t -> string
-(** Machine-readable rendering (self-contained JSON object). *)
-
-val report_to_json : t list -> string
-(** JSON array of {!to_json} objects. *)
-
 val of_unknown_exn : exn -> t
 (** Last-resort conversion for exceptions no subsystem shim recognised
     ([Failure], [Invalid_argument], anything else via [Printexc]). *)

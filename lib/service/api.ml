@@ -248,9 +248,8 @@ let rev_lookup table name err =
   | Some (v, _) -> Ok v
   | None -> Error (Printf.sprintf "%s %S" err name)
 
-(* Field-for-field the layout of Diag.to_json, so the service reuses the
-   established diagnostic schema (tested: printing this object equals
-   Diag.to_json's string). *)
+(* The one diagnostic encoder: --diag-json reports, lint --json and the
+   daemon all render diagnostics through this object. *)
 let diag_to_json (d : Diag.t) =
   Json.Obj
     ([ ("severity", Json.String (Diag.severity_to_string d.severity));

@@ -142,9 +142,9 @@ val query_to_json : Asipfb.Pipeline.Query.t -> Json.t
 val query_of_json : Json.t -> (Asipfb.Pipeline.Query.t, string) result
 
 val diag_to_json : Asipfb_diag.Diag.t -> Json.t
-(** Field-for-field the same object {!Asipfb_diag.Diag.to_json} prints
-    (the service reuses the diagnostic schema rather than inventing a
-    second one); [Json.to_string (diag_to_json d) = Diag.to_json d]. *)
+(** The one diagnostic encoder, shared by [--diag-json], [lint --json]
+    and the daemon: [severity], [stage], optional [file]/[line]/[col],
+    [message], and a [context] object when the context is non-empty. *)
 
 val diag_of_json : Json.t -> (Asipfb_diag.Diag.t, string) result
 

@@ -1,7 +1,8 @@
 (* Degradation ladder for simulation: an execution-core failure that is
    not a semantic outcome of the simulated program (not a trap, fuel
-   exhaustion, or watchdog abort) falls back to the retained reference
-   tree-walker, which is slow but independently implemented. *)
+   exhaustion, or watchdog abort) falls back to the reference
+   tree-walker (Ref_interp.run), which is slow but independently
+   implemented. *)
 
 module Diag = Asipfb_diag.Diag
 

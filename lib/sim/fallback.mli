@@ -3,11 +3,13 @@
     {!run} executes a program on the fast execution core; if the core
     fails {e non-semantically} — any exception other than
     {!Interp.Runtime_error}, {!Interp.Fuel_exhausted}, or
-    {!Interp.Watchdog_timeout} — the result is recomputed on the
-    independently implemented reference tree-walker ({!Ref_interp}) and a
-    [kind=degraded] warning diagnostic is attached.  With [cross_check]
-    the reference runs even on success and any disagreement yields the
-    reference result plus a [kind=mismatch] error diagnostic. *)
+    {!Interp.Watchdog_timeout} — the result is recomputed with
+    {!Ref_interp.run}, the one reference semantics (a tree-walker with
+    its own operator evaluation rather than the core's
+    {!Asipfb_exec.Ops}), and a [kind=degraded] warning diagnostic is
+    attached.  With [cross_check] the reference runs even on success and
+    any disagreement yields the reference result plus a [kind=mismatch]
+    error diagnostic. *)
 
 val outcomes_agree : Interp.outcome -> Interp.outcome -> bool
 (** Agreement on return value, instruction count, profile (as a sorted

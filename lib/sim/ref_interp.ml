@@ -1,9 +1,11 @@
-(* The pre-refactor tree-walking interpreter, retained verbatim as the
-   executable specification of the base semantics.  Interp delegates to
-   the pre-compiled execution core (Asipfb_exec.Core); this module is the
-   oracle the differential tests and the throughput bench compare it
-   against.  Deliberately naive: hashtable registers, hashtable profile,
-   label lookup per jump. *)
+(* The pre-refactor tree-walking interpreter, kept as the executable
+   specification of the base semantics.  Interp delegates to the
+   pre-compiled execution core (Asipfb_exec.Core); this module is the
+   oracle the differential tests, the throughput bench, the simulation
+   fallback and the translation validator's counterexample search compare
+   against.  Deliberately naive: a register array per frame, hashtable
+   profile, label lookup per jump.  Its arithmetic is its own, independent
+   of Asipfb_exec.Ops, which is the point of an oracle. *)
 
 module Types = Asipfb_ir.Types
 module Reg = Asipfb_ir.Reg
@@ -14,6 +16,40 @@ module Prog = Asipfb_ir.Prog
 
 let err fmt =
   Format.kasprintf (fun msg -> raise (Interp.Runtime_error msg)) fmt
+
+type event =
+  | Store of { region : string; index : int; value : Value.t }
+  | Call of { callee : string; args : Value.t list }
+  | Return of Value.t option
+  | Trap of { message : string }
+
+let pp_event ppf = function
+  | Store { region; index; value } ->
+      Format.fprintf ppf "store %s[%d] = %a" region index Value.pp value
+  | Call { callee; args } ->
+      Format.fprintf ppf "call %s(%a)" callee
+        (Format.pp_print_list
+           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
+           Value.pp)
+        args
+  | Return None -> Format.fprintf ppf "return"
+  | Return (Some v) -> Format.fprintf ppf "return %a" Value.pp v
+  | Trap { message } -> Format.fprintf ppf "trap: %s" message
+
+let event_to_string e = Format.asprintf "%a" pp_event e
+
+let event_equal a b =
+  match (a, b) with
+  | Store x, Store y ->
+      x.region = y.region && x.index = y.index && Value.equal x.value y.value
+  | Call x, Call y ->
+      x.callee = y.callee
+      && List.length x.args = List.length y.args
+      && List.for_all2 Value.equal x.args y.args
+  | Return None, Return None -> true
+  | Return (Some x), Return (Some y) -> Value.equal x y
+  | Trap x, Trap y -> x.message = y.message
+  | _ -> false
 
 let eval_binop op a b =
   match op with
@@ -61,11 +97,14 @@ let eval_unop op a =
       if x < 0.0 then err "sqrt of negative %g" x else Value.Vfloat (sqrt x)
   | Types.Fabs -> Value.Vfloat (Float.abs (Value.as_float a))
 
-(* Pre-resolved function body: instruction array plus label positions. *)
+(* Pre-resolved function body: instruction array, label positions, and
+   the register id range a frame needs slots for. *)
 type resolved = {
   func : Func.t;
   instrs : Instr.t array;
   label_pos : (int, int) Hashtbl.t;  (* label id -> index after the mark *)
+  reg_base : int;  (* smallest register id in the function *)
+  reg_count : int;
 }
 
 let resolve (f : Func.t) : resolved =
@@ -80,17 +119,36 @@ let resolve (f : Func.t) : resolved =
       | Instr.Call _ | Instr.Ret _ ->
           ())
     instrs;
-  { func = f; instrs; label_pos }
+  let ids =
+    List.map Reg.id f.params
+    @ List.concat_map
+        (fun i -> List.map Reg.id (Option.to_list (Instr.def i) @ Instr.uses i))
+        f.body
+  in
+  let reg_base, reg_count =
+    match ids with
+    | [] -> (0, 0)
+    | id :: rest ->
+        let lo = List.fold_left min id rest in
+        (lo, List.fold_left max id rest - lo + 1)
+  in
+  { func = f; instrs; label_pos; reg_base; reg_count }
+
+(* Raised when the budget runs out; [run] reports it as a runtime error,
+   [run_traced] as [Out_of_fuel]. *)
+exception Fuel_out
 
 type state = {
   memory : Memory.t;
-  profile : Profile.t;
   resolved : (string, resolved) Hashtbl.t;
-  on_exec : string -> Instr.t -> unit;
+  profile : Profile.t option;  (* [None] for [run_traced] *)
+  emit : (event -> unit) option;  (* observation hook; [None] for [run] *)
   faults : Fault.t option;
   mutable fuel : int;
   mutable executed : int;
 }
+
+let observe st ev = match st.emit with Some emit -> emit ev | None -> ()
 
 let get_resolved st name =
   match Hashtbl.find_opt st.resolved name with
@@ -98,13 +156,13 @@ let get_resolved st name =
   | None -> err "call to unknown function %s" name
 
 let rec run_func st (r : resolved) (args : Value.t list) : Value.t option =
-  let regs : (int, Value.t) Hashtbl.t = Hashtbl.create 32 in
+  let regs : Value.t option array = Array.make r.reg_count None in
   let set_reg reg v =
     let v = match st.faults with Some f -> Fault.on_reg_write f v | None -> v in
-    Hashtbl.replace regs (Reg.id reg) v
+    regs.(Reg.id reg - r.reg_base) <- Some v
   in
   let get_reg reg =
-    match Hashtbl.find_opt regs (Reg.id reg) with
+    match regs.(Reg.id reg - r.reg_base) with
     | Some v -> v
     | None -> err "read of uninitialized register %s" (Reg.to_string reg)
   in
@@ -127,11 +185,12 @@ let rec run_func st (r : resolved) (args : Value.t list) : Value.t option =
       let i = r.instrs.(pc) in
       if Instr.is_label i then step (pc + 1)
       else begin
-        if st.fuel <= 0 then err "out of fuel (infinite loop?)";
+        if st.fuel <= 0 then raise Fuel_out;
         st.fuel <- st.fuel - 1;
         st.executed <- st.executed + 1;
-        st.on_exec r.func.name i;
-        Profile.bump st.profile ~opid:(Instr.opid i);
+        (match st.profile with
+        | Some profile -> Profile.bump profile ~opid:(Instr.opid i)
+        | None -> ());
         match Instr.kind i with
         | Instr.Binop (op, d, a, b) ->
             set_reg d (eval_binop op (operand a) (operand b));
@@ -171,8 +230,11 @@ let rec run_func st (r : resolved) (args : Value.t list) : Value.t option =
                 err "load out of bounds: %s[%d]" name at)
         | Instr.Store (_, region, index, value) -> (
             let idx = Value.as_int (operand index) in
-            match Memory.store st.memory region idx (operand value) with
-            | () -> step (pc + 1)
+            let value = operand value in
+            match Memory.store st.memory region idx value with
+            | () ->
+                observe st (Store { region; index = idx; value });
+                step (pc + 1)
             | exception Memory.Bounds (name, at) ->
                 err "store out of bounds: %s[%d]" name at)
         | Instr.Jump l -> step (jump_to l)
@@ -182,21 +244,26 @@ let rec run_func st (r : resolved) (args : Value.t list) : Value.t option =
         | Instr.Call (dst, name, args) ->
             let callee = get_resolved st name in
             let argv = List.map operand args in
+            observe st (Call { callee = name; args = argv });
             let result = run_func st callee argv in
             (match (dst, result) with
             | Some d, Some v -> set_reg d v
             | Some _, None -> err "void call result used (%s)" name
             | None, _ -> ());
             step (pc + 1)
-        | Instr.Ret v -> Option.map operand v
+        | Instr.Ret v ->
+            let value = Option.map operand v in
+            observe st (Return value);
+            value
         | Instr.Label_mark _ -> assert false
       end
     end
   in
   step 0
 
-let run ?(fuel = 50_000_000) ?(inputs = []) ?(on_exec = fun _ _ -> ()) ?faults
-    (p : Prog.t) : Interp.outcome =
+(* Seeded memory and a fresh state; the entry is resolved by the caller so
+   an unknown entry is a runtime error, like any unknown callee. *)
+let start ~fuel ~inputs ?profile ?emit ?faults (p : Prog.t) =
   let memory = Memory.create p in
   List.iter (fun (region, data) -> Memory.seed memory region data) inputs;
   let resolved = Hashtbl.create 8 in
@@ -204,10 +271,47 @@ let run ?(fuel = 50_000_000) ?(inputs = []) ?(on_exec = fun _ _ -> ()) ?faults
     (fun (f : Func.t) -> Hashtbl.replace resolved f.name (resolve f))
     p.funcs;
   let fuel = match faults with Some f -> Fault.clamp_fuel f fuel | None -> fuel in
-  let st =
-    { memory; profile = Profile.create (); resolved; on_exec; faults; fuel;
-      executed = 0 }
+  { memory; resolved; profile; emit; faults; fuel; executed = 0 }
+
+let run_entry st (p : Prog.t) = run_func st (get_resolved st p.entry) []
+
+let run ?(fuel = 50_000_000) ?(inputs = []) ?faults (p : Prog.t) :
+    Interp.outcome =
+  let profile = Profile.create () in
+  let st = start ~fuel ~inputs ~profile ?faults p in
+  let return_value =
+    try run_entry st p
+    with Fuel_out -> err "out of fuel (infinite loop?)"
   in
-  let entry = get_resolved st p.entry in
-  let return_value = run_func st entry [] in
-  { return_value; profile = st.profile; memory; instrs_executed = st.executed }
+  { return_value; profile; memory = st.memory;
+    instrs_executed = st.executed }
+
+type result =
+  | Returned of Value.t option
+  | Trapped of string
+  | Out_of_fuel
+
+type traced = {
+  trace : event list;
+  result : result;
+  memory : Memory.t;
+  instrs_executed : int;
+}
+
+let run_traced ?(fuel = 50_000_000) ?(inputs = []) (p : Prog.t) : traced =
+  let trace_rev = ref [] in
+  let emit ev = trace_rev := ev :: !trace_rev in
+  let st = start ~fuel ~inputs ~emit p in
+  let trapped message =
+    trace_rev := Trap { message } :: !trace_rev;
+    Trapped message
+  in
+  let result =
+    match run_entry st p with
+    | v -> Returned v
+    | exception Fuel_out -> Out_of_fuel
+    | exception Interp.Runtime_error m -> trapped m
+    | exception Invalid_argument m -> trapped m
+  in
+  { trace = List.rev !trace_rev; result; memory = st.memory;
+    instrs_executed = st.executed }

@@ -24,6 +24,7 @@ module Cfg = Asipfb_cfg.Cfg
 module Liveness = Asipfb_cfg.Liveness
 module Diag = Asipfb_diag.Diag
 module Prng = Asipfb_util.Prng
+module Ref_interp = Asipfb_sim.Ref_interp
 
 (* --- symbolic expressions ------------------------------------------------ *)
 
@@ -67,8 +68,6 @@ and pp_smem ppf = function
       Format.fprintf ppf "%a;%s[%a]:=%a" pp_smem base region pp_sym i pp_sym v
   | Mhavoc (base, b, k) ->
       Format.fprintf ppf "%a;havoc(call%d@b%d)" pp_smem base k b
-
-let sym_to_string s = Format.asprintf "%a" pp_sym s
 
 (* --- normalizing smart constructors -------------------------------------- *)
 
@@ -416,16 +415,6 @@ let project_region region evs =
       | Ev_call (b, k, callee, _) -> Some (`C (b, k, callee)))
     evs
 
-let event_to_string = function
-  | Ev_store (r, i, v) ->
-      Format.asprintf "%s[%a] := %a" r pp_sym i pp_sym v
-  | Ev_call (b, k, callee, args) ->
-      Format.asprintf "b%d: call#%d %s(%a)" b k callee
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-           pp_sym)
-        args
-
 let check_func ~(original : Func.t) ~(transformed : Func.t) : failure list =
   let fname = original.Func.name in
   let fail ?block check detail =
@@ -703,9 +692,9 @@ let memories_equal a b =
 let render_trace evs =
   let n = List.length evs in
   let keep = 16 in
-  if n <= keep then List.map Semantics.event_to_string evs
+  if n <= keep then List.map Ref_interp.event_to_string evs
   else
-    List.map Semantics.event_to_string (List.filteri (fun i _ -> i < keep) evs)
+    List.map Ref_interp.event_to_string (List.filteri (fun i _ -> i < keep) evs)
     @ [ Format.sprintf "... (%d more events)" (n - keep) ]
 
 (* First index at which the two traces differ, if any. *)
@@ -714,61 +703,55 @@ let trace_divergence to_ tt =
     match (a, b) with
     | [], [] -> None
     | x :: a', y :: b' ->
-        if Semantics.event_equal x y then go (i + 1) a' b'
+        if Ref_interp.event_equal x y then go (i + 1) a' b'
         else
           Some
             (i,
              Format.sprintf "trace index %d: %s vs %s" i
-               (Semantics.event_to_string x)
-               (Semantics.event_to_string y))
+               (Ref_interp.event_to_string x)
+               (Ref_interp.event_to_string y))
     | x :: _, [] ->
         Some
           (i,
            Format.sprintf
              "trace index %d: original observes %s, transformed trace ends" i
-             (Semantics.event_to_string x))
+             (Ref_interp.event_to_string x))
     | [], y :: _ ->
         Some
           (i,
            Format.sprintf
              "trace index %d: transformed observes %s, original trace ends" i
-             (Semantics.event_to_string y))
+             (Ref_interp.event_to_string y))
   in
   go 0 to_ tt
 
 let result_to_string = function
-  | Semantics.Returned None -> "returned"
-  | Semantics.Returned (Some v) -> "returned " ^ Value.to_string v
-  | Semantics.Trapped m -> "trapped: " ^ m
-  | Semantics.Out_of_fuel -> "ran out of fuel"
-
-(* Independent confirmation: replay both programs on the reference
-   tree-walking interpreter and compare return value and final memory.
-   Divergence of the original itself (trap) means the input is outside
-   the refinement contract — not a confirmation. *)
-let ref_confirms ~original ~transformed inputs =
-  let module Interp = Asipfb_sim.Interp in
-  let run p =
-    match Asipfb_sim.Ref_interp.run ~fuel:8_000_000 ~inputs p with
-    | (o : Interp.outcome) -> Ok (o.return_value, dump_memory o.memory)
-    | exception Interp.Runtime_error _ -> Error ()
-    | exception Interp.Fuel_exhausted _ -> Error ()
-  in
-  match (run original, run transformed) with
-  | Ok (ro, mo), Ok (rt, mt) ->
-      not (Option.equal Value.equal ro rt) || not (memories_equal mo mt)
-  | Ok _, Error () -> true
-  | Error (), _ -> false
+  | Ref_interp.Returned None -> "returned"
+  | Ref_interp.Returned (Some v) -> "returned " ^ Value.to_string v
+  | Ref_interp.Trapped m -> "trapped: " ^ m
+  | Ref_interp.Out_of_fuel -> "ran out of fuel"
 
 let find_counterexample ~attempts ~original ~transformed =
   let consider attempt =
     let inputs = sample_inputs original ~attempt in
-    let oo = Semantics.run ~fuel:8_000_000 ~inputs original in
-    match oo.Semantics.result with
-    | Semantics.Trapped _ | Semantics.Out_of_fuel ->
+    let oo = Ref_interp.run_traced ~fuel:8_000_000 ~inputs original in
+    match oo.Ref_interp.result with
+    | Ref_interp.Trapped _ | Ref_interp.Out_of_fuel ->
         None (* original diverged or trapped: input is outside the contract *)
-    | Semantics.Returned _ ->
-        let ot = Semantics.run ~fuel:16_000_000 ~inputs transformed in
+    | Ref_interp.Returned ro ->
+        let ot = Ref_interp.run_traced ~fuel:16_000_000 ~inputs transformed in
+        let memories_differ =
+          not (memories_equal (dump_memory oo.memory) (dump_memory ot.memory))
+        in
+        (* Confirmed when the divergence shows in what a plain run
+           returns: the return value, a final-memory region, or a failure
+           of the transformed program alone. *)
+        let ref_confirmed =
+          match ot.result with
+          | Ref_interp.Returned rt ->
+              (not (Option.equal Value.equal ro rt)) || memories_differ
+          | Ref_interp.Trapped _ | Ref_interp.Out_of_fuel -> true
+        in
         let divergence =
           match trace_divergence oo.trace ot.trace with
           | Some (_, d) -> Some d
@@ -778,11 +761,7 @@ let find_counterexample ~attempts ~original ~transformed =
                   (Format.sprintf "original %s, transformed %s"
                      (result_to_string oo.result)
                      (result_to_string ot.result))
-              else if
-                not
-                  (memories_equal (dump_memory oo.memory)
-                     (dump_memory ot.memory))
-              then Some "final memories differ"
+              else if memories_differ then Some "final memories differ"
               else None
         in
         Option.map
@@ -794,7 +773,7 @@ let find_counterexample ~attempts ~original ~transformed =
               cx_divergence = d;
               cx_original_trace = render_trace oo.trace;
               cx_transformed_trace = render_trace ot.trace;
-              cx_ref_confirmed = ref_confirms ~original ~transformed inputs;
+              cx_ref_confirmed = ref_confirmed;
             })
           divergence
   in
@@ -883,6 +862,3 @@ let to_diags ?(context = []) = function
           counterexample
       in
       fdiags @ Option.to_list cdiag
-
-let _ = sym_to_string
-let _ = event_to_string

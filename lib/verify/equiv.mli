@@ -4,9 +4,10 @@
     {!Legality} proves the *syntactic* obligations — dependence ordering
     witnesses and reaching-definition value flow.  This module proves the
     *semantic* one: the transformed program refines the original under
-    the small-step {!Semantics} — on every input where the original runs
-    to completion without trapping, the transformed program produces the
-    same observation trace, return value, and final memory.  (Inputs on
+    the reference semantics ({!Asipfb_sim.Ref_interp.run_traced}) — on
+    every input where the original runs to completion without trapping,
+    the transformed program produces the same observation trace, return
+    value, and final memory.  (Inputs on
     which the original traps are treated as outside the contract, the
     usual source-trap-as-undefined-behavior refinement.)
 
@@ -18,9 +19,9 @@
     compile-time and run-time arithmetic agree by construction.  The
     checker is conservative: [Refines] is a proof, a failure is only a
     *suspicion* — which is why every failure is accompanied, when one can
-    be found, by a concrete counterexample replayed on {!Semantics} and
-    confirmed against {!Asipfb_sim.Ref_interp} as an independent
-    oracle. *)
+    be found, by a concrete counterexample: one traced run of each program
+    on {!Asipfb_sim.Ref_interp}, whose arithmetic is independent of the
+    {!Asipfb_exec.Ops} folding the proof relies on. *)
 
 (** {1 Verdicts} *)
 
@@ -43,8 +44,9 @@ type counterexample = {
   cx_original_trace : string list;  (** Rendered, possibly truncated. *)
   cx_transformed_trace : string list;
   cx_ref_confirmed : bool;
-      (** [Ref_interp] replay on these inputs also observes the
-          divergence. *)
+      (** The divergence shows in the runs' return values or final
+          memories, or the transformed program alone traps or runs out of
+          fuel — not only in the order or content of the trace. *)
 }
 
 type verdict =
@@ -63,8 +65,8 @@ val check :
 (** [check ~original ~transformed ()] discharges the refinement
     obligations for every function of [original].  On failure it searches
     [attempts] (default 8) deterministic input valuations (see
-    {!sample_inputs}) for a concrete divergence, preferring one
-    {!Asipfb_sim.Ref_interp} confirms. *)
+    {!sample_inputs}) for a concrete divergence, preferring a confirmed
+    one ([cx_ref_confirmed]).  Each attempt runs each program once. *)
 
 val check_func :
   original:Asipfb_ir.Func.t ->

@@ -58,7 +58,7 @@ tv_findings=$(sed -n 's/.*verify findings \([0-9]*\).*/\1/p' "$workdir/tv.out")
 }
 
 # (c) The checker still rejects: a corrupted fir schedule must fail
-# with a counterexample.
+# with a reference-confirmed counterexample.
 if $run equiv fir -O 2 --corrupt edit-const --seed 3 \
     > "$workdir/corrupt.out" 2>&1; then
   echo "tv smoke: corrupted schedule was not rejected" >&2
@@ -70,5 +70,10 @@ grep -q "counterexample" "$workdir/corrupt.out" || {
   cat "$workdir/corrupt.out" >&2
   exit 1
 }
+grep -q "counterexample (attempt [0-9]*, ref-confirmed)" "$workdir/corrupt.out" || {
+  echo "tv smoke: counterexample is not reference-confirmed" >&2
+  cat "$workdir/corrupt.out" >&2
+  exit 1
+}
 
-echo "tv smoke: suite 12x3 refines, corpus sample (seed $seed count $count) clean under tv, corrupted schedule rejected with counterexample"
+echo "tv smoke: suite 12x3 refines, corpus sample (seed $seed count $count) clean under tv, corrupted schedule rejected with a reference-confirmed counterexample"

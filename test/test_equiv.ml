@@ -1,11 +1,10 @@
-(* Translation validation: semantics vs the reference interpreter, clean
-   schedules proving Refines, and the seeded-mutation adversary. *)
+(* Translation validation: the reference interpreter's traced entry point,
+   clean schedules proving Refines, and the seeded-mutation adversary. *)
 
 module Registry = Asipfb_bench_suite.Registry
 module Benchmark = Asipfb_bench_suite.Benchmark
 module Schedule = Asipfb_sched.Schedule
 module Opt_level = Asipfb_sched.Opt_level
-module Semantics = Asipfb_verify.Semantics
 module Equiv = Asipfb_verify.Equiv
 module Mutate = Asipfb_verify.Mutate
 module Interp = Asipfb_sim.Interp
@@ -26,62 +25,90 @@ let dumps_equal a b =
          && Array.for_all2 Value.equal da db)
        a b
 
-(* The small-step semantics must agree with the reference tree-walker on
-   every benchmark: same return value, same final memory, and one trace
-   Return event per executed Ret. *)
-let test_semantics_matches_ref () =
+(* The traced entry point is [run]'s loop with an observation hook: on
+   every benchmark it must agree with [run] on the return value, final
+   memory and instruction count; replaying its Store events onto the
+   seeded inputs must rebuild the final memory; and the trace must end
+   with the entry's Return. *)
+let test_traced_matches_run () =
   List.iter
     (fun (b : Benchmark.t) ->
       let prog = Benchmark.compile b in
-      let inputs =
-        List.map (fun (r, a) -> (r, Array.copy a)) (b.inputs ())
+      let traced = Ref_interp.run_traced ~inputs:(b.inputs ()) prog in
+      let plain = Ref_interp.run ~inputs:(b.inputs ()) prog in
+      let return_value =
+        match traced.result with
+        | Ref_interp.Returned v -> v
+        | Ref_interp.Trapped m -> Alcotest.failf "%s trapped: %s" b.name m
+        | Ref_interp.Out_of_fuel -> Alcotest.failf "%s ran out of fuel" b.name
       in
-      let sem = Semantics.run ~inputs prog in
-      let ref_ =
-        Ref_interp.run
-          ~inputs:(List.map (fun (r, a) -> (r, Array.copy a)) (b.inputs ()))
-          prog
-      in
-      (match sem.result with
-      | Semantics.Returned v ->
-          Alcotest.(check bool)
-            (b.name ^ ": return value agrees")
-            true
-            (Option.equal Value.equal v ref_.Interp.return_value)
-      | Semantics.Trapped m -> Alcotest.failf "%s trapped: %s" b.name m
-      | Semantics.Out_of_fuel -> Alcotest.failf "%s ran out of fuel" b.name);
+      Alcotest.(check bool)
+        (b.name ^ ": return value agrees")
+        true
+        (Option.equal Value.equal return_value plain.Interp.return_value);
       Alcotest.(check bool)
         (b.name ^ ": final memory agrees")
         true
-        (dumps_equal (dump sem.memory) (dump ref_.Interp.memory));
-      let returns =
-        List.filter
-          (function Semantics.Return _ -> true | _ -> false)
-          sem.trace
-      in
+        (dumps_equal (dump traced.memory) (dump plain.Interp.memory));
+      Alcotest.(check int)
+        (b.name ^ ": instruction count agrees")
+        plain.Interp.instrs_executed traced.instrs_executed;
+      let replay = Memory.create prog in
+      List.iter (fun (r, a) -> Memory.seed replay r a) (b.inputs ());
+      List.iter
+        (function
+          | Ref_interp.Store { region; index; value } ->
+              Memory.store replay region index value
+          | Ref_interp.Call _ | Ref_interp.Return _ | Ref_interp.Trap _ -> ())
+        traced.trace;
+      Alcotest.(check bool)
+        (b.name ^ ": store replay rebuilds the final memory")
+        true
+        (dumps_equal (dump replay) (dump traced.memory));
       Alcotest.(check bool)
         (b.name ^ ": trace ends with the entry return")
         true
-        (returns <> []
-        && match List.rev sem.trace with
-          | Semantics.Return _ :: _ -> true
-          | _ -> false))
+        (match List.rev traced.trace with
+        | Ref_interp.Return v :: _ -> Option.equal Value.equal v return_value
+        | _ -> false))
     Registry.all
 
-(* A trapping program must produce a Trapped result whose trace ends in
-   the trap event — never an exception. *)
-let test_semantics_traps () =
+(* Program failures are results, never exceptions: a trap ends the trace
+   with a Trap event carrying the message [run] raises, and a corrupted
+   branch that spins forever runs out of fuel. *)
+let test_traced_failures () =
   let prog =
     Asipfb_frontend.Lower.compile
       "void main() { int a; int b; a = 1; b = 0; a = a / b; }" ~entry:"main"
   in
-  let out = Semantics.run prog in
+  let out = Ref_interp.run_traced prog in
+  let raised =
+    match Ref_interp.run prog with
+    | _ -> Alcotest.fail "division by zero must trap in run"
+    | exception Interp.Runtime_error m -> m
+  in
   (match out.result with
-  | Semantics.Trapped _ -> ()
+  | Ref_interp.Trapped m ->
+      Alcotest.(check string) "trap message matches run" raised m
   | _ -> Alcotest.fail "division by zero must trap");
-  match List.rev out.trace with
-  | Semantics.Trap _ :: _ -> ()
-  | _ -> Alcotest.fail "trace must end with the trap event"
+  (match List.rev out.trace with
+  | Ref_interp.Trap { message } :: _ ->
+      Alcotest.(check string) "terminal trap event" raised message
+  | _ -> Alcotest.fail "trace must end with the trap event");
+  (* fir's retarget-jump mutant at seed 4 loops on one store forever. *)
+  let b = List.find (fun (b : Benchmark.t) -> b.name = "fir") Registry.all in
+  let looping =
+    match Mutate.apply ~seed:4 Mutate.Retarget_jump (Benchmark.compile b) with
+    | Some p -> p
+    | None -> Alcotest.fail "no retarget-jump site in fir"
+  in
+  let fuel = 1_000_000 in
+  let out = Ref_interp.run_traced ~fuel ~inputs:(b.inputs ()) looping in
+  Alcotest.(check bool) "out of fuel" true
+    (out.result = Ref_interp.Out_of_fuel);
+  Alcotest.(check int) "the whole budget ran" fuel out.instrs_executed;
+  Alcotest.(check bool) "no trap event" false
+    (List.exists (function Ref_interp.Trap _ -> true | _ -> false) out.trace)
 
 (* The acceptance bar: every benchmark × every level proves Refines. *)
 let test_clean_suite_refines () =
@@ -258,10 +285,10 @@ let suite =
   [
     ( "equiv",
       [
-        Alcotest.test_case "semantics agrees with Ref_interp" `Quick
-          test_semantics_matches_ref;
-        Alcotest.test_case "semantics traps structurally" `Quick
-          test_semantics_traps;
+        Alcotest.test_case "run_traced agrees with run" `Quick
+          test_traced_matches_run;
+        Alcotest.test_case "run_traced failure paths" `Quick
+          test_traced_failures;
         Alcotest.test_case "clean 12x3 suite refines" `Quick
           test_clean_suite_refines;
         Alcotest.test_case "pinned corrupted schedule rejected" `Quick

@@ -260,13 +260,6 @@ let prop_diag_roundtrip =
   roundtrip "diag json round-trip" diag_gen Api.diag_to_json Api.diag_of_json
     ( = ) Diag.to_string
 
-(* The service reuses the established diagnostic schema: rendering the
-   service encoder's object must be byte-identical to Diag.to_json. *)
-let prop_diag_matches_diag_to_json =
-  QCheck.Test.make ~count:200 ~name:"diag_to_json matches Diag.to_json"
-    (QCheck.make ~print:Diag.to_string diag_gen)
-    (fun d -> Json.to_string (Api.diag_to_json d) = Diag.to_json d)
-
 let prop_detect_roundtrip =
   roundtrip "detect-report json round-trip" detect_report_gen
     Api.detect_report_to_json Api.detect_report_of_json ( = )
@@ -693,7 +686,6 @@ let suite =
       [
         QCheck_alcotest.to_alcotest prop_query_roundtrip;
         QCheck_alcotest.to_alcotest prop_diag_roundtrip;
-        QCheck_alcotest.to_alcotest prop_diag_matches_diag_to_json;
         QCheck_alcotest.to_alcotest prop_detect_roundtrip;
         QCheck_alcotest.to_alcotest prop_coverage_roundtrip;
         QCheck_alcotest.to_alcotest prop_findings_roundtrip;
